@@ -1,10 +1,24 @@
 """Binary support-vector classifier trained with SMO.
 
-A compact, correct implementation of Platt's Sequential Minimal Optimization
-with the standard working-set heuristics (maximal KKT violator paired with
-the max-|E_i − E_j| second choice), precomputed Gram matrix, and shrinking
-of converged multipliers.  Defaults match the paper: RBF kernel, ``C=20``,
+A compact implementation of Platt's Sequential Minimal Optimization over a
+precomputed Gram matrix.  Defaults match the paper: RBF kernel, ``C=20``,
 ``gamma=1e-5``.
+
+The outer loop alternates Platt's two sweeps: one over every multiplier
+("examine all"), then repeated sweeps over the non-bound ones
+(``0 < alpha < C``) until a sweep changes nothing.  A multiplier that
+violates the KKT conditions is paired first with the free multiplier that
+maximises ``|E_i - E_j|``.  If that step makes no progress, the fallback
+search tries the free multipliers in ascending order, then every multiplier
+in ascending order, and takes the first pair that makes progress.
+
+The fallback search is vectorised but exact.  One NumPy pass evaluates the
+three rejection tests of :meth:`SVC._step` (empty box, non-positive
+curvature, negligible clipped move) for every ``j`` at once, in the same
+floating-point order as the scalar code.  Only the ``j`` that pass are
+handed to the scalar step, in the legacy order.  A rejected step changes
+nothing, so the fit updates the same pairs, in the same order, with the
+same arithmetic as a scalar scan of every ``j``.
 
 The Gram matrix is precomputed (n ≤ a few thousand in all our corpora), so
 one SMO step is O(n) and training is O(n² · passes).
@@ -39,6 +53,9 @@ class SVC:
         Number of full alpha sweeps without progress before stopping.
     max_iter:
         Hard cap on SMO iterations (safety valve).
+
+    After :meth:`fit`, ``n_iter_`` holds the number of SMO iterations run:
+    one per examined multiplier, the count ``max_iter`` caps.
     """
 
     def __init__(
@@ -110,7 +127,7 @@ class SVC:
             if changed > 0:
                 passes = 0
         # Recover bias from any free support vector; fall back to margin average.
-        self._finalize(X, t, K, alpha, E)
+        self._finalize(X, t, K, alpha, iters)
         return self
 
     def _resolve_gamma(self, X: np.ndarray) -> float:
@@ -127,19 +144,47 @@ class SVC:
         ri = Ei * t[i]
         if (ri < -self.tol and alpha[i] < self.C) or (ri > self.tol and alpha[i] > 0):
             # Second-choice heuristic: maximize |Ei - Ej| over free alphas.
-            free = np.nonzero((alpha > 0) & (alpha < self.C))[0]
-            if free.size > 1:
-                j = int(free[np.argmax(np.abs(E[free] - Ei))])
+            free = (alpha > 0) & (alpha < self.C)
+            free_idx = np.flatnonzero(free)
+            if free_idx.size > 1:
+                j = int(free_idx[np.argmax(np.abs(E[free_idx] - Ei))])
                 if j != i and self._step(i, j, t, K, alpha, E):
                     return 1
-            # Fall back: all indices in a fixed scan.
-            for j in np.nonzero((alpha > 0) & (alpha < self.C))[0]:
-                if j != i and self._step(i, int(j), t, K, alpha, E):
+            # Fall back: free indices ascending, then all indices ascending,
+            # trying only the j whose step is not rejected outright.
+            viable = self._viable(i, t, K, alpha, E)
+            for j in np.flatnonzero(viable & free):
+                if self._step(i, int(j), t, K, alpha, E):
                     return 1
-            for j in range(len(alpha)):
-                if j != i and self._step(i, j, t, K, alpha, E):
+            for j in np.flatnonzero(viable):
+                if self._step(i, int(j), t, K, alpha, E):
                     return 1
         return 0
+
+    def _viable(self, i: int, t, K, alpha, E) -> np.ndarray:
+        """Mask of the ``j`` for which ``_step(i, j)`` passes its three tests.
+
+        Mirrors :meth:`_step` operation for operation, so a ``j`` is masked
+        out exactly when the scalar step would return False without side
+        effects; ``j == i`` is masked out too.  The ufuncs keep the builtin
+        ``min``/``max`` results: ``fmax``/``fmin`` return the bound when the
+        other operand is NaN, as ``max(0.0, nan)`` and ``min(C, nan)`` do,
+        and the clip of ``aj`` propagates a NaN ``aj`` as ``max(nan, L)``
+        does (its bounds are never NaN).
+        """
+        C = self.C
+        ai_old = alpha[i]
+        opposite = t != t[i]
+        pair_sum = ai_old + alpha
+        L = np.fmax(np.where(opposite, alpha - ai_old, pair_sum - C), 0.0)
+        H = np.fmin(np.where(opposite, C + alpha - ai_old, pair_sum), C)
+        eta = K[i, i] + K.diagonal() - 2.0 * K[i]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            aj = np.minimum(np.maximum(alpha + t * (E[i] - E) / eta, L), H)
+            moved = ~(np.abs(aj - alpha) < 1e-8 * (aj + alpha + 1e-8))
+        viable = ~(H - L < 1e-12) & ~(eta <= 1e-12) & moved
+        viable[i] = False
+        return viable
 
     def _step(self, i: int, j: int, t, K, alpha, E) -> bool:
         """Jointly optimize (alpha_i, alpha_j); returns True on progress."""
@@ -168,7 +213,7 @@ class SVC:
         E += di * K[i] + dj * K[j]
         return True
 
-    def _finalize(self, X, t, K, alpha, E) -> None:
+    def _finalize(self, X, t, K, alpha, n_iter: int) -> None:
         sv_mask = alpha > 1e-8
         self.support_ = np.nonzero(sv_mask)[0]
         self.support_vectors_ = X[sv_mask]
@@ -183,7 +228,7 @@ class SVC:
         else:
             # Degenerate: no support vectors (identical classes / zero data).
             self.intercept_ = float(np.mean(t))
-        self.n_iter_ = None
+        self.n_iter_ = n_iter
         self._fitted = True
 
     # -- inference ----------------------------------------------------------

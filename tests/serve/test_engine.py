@@ -78,6 +78,27 @@ class TestAdmitRelease:
         r = e.handle({"op": "telemetry", "hive": 0, "t": 5.0})
         assert not r["ok"] and "non-monotonic" in r["error"]
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf"), "NaN", "Infinity"])
+    def test_non_finite_time_rejected_and_clock_guard_kept(self, t):
+        e = engine()
+        r = e.handle({"op": "admit", "hive": 0, "t": t})
+        assert not r["ok"] and "must be finite" in r["error"]
+        assert e.n_errors == 1 and e._last_t is None
+        # The rejected request left the clock alone: later finite times are
+        # served, and going backwards is still refused.
+        assert e.handle({"op": "admit", "hive": 0, "t": 10.0})["ok"]
+        r = e.handle({"op": "telemetry", "hive": 0, "t": 5.0})
+        assert not r["ok"] and "non-monotonic" in r["error"]
+
+    def test_non_finite_time_after_traffic_is_rejected(self):
+        e = engine()
+        assert e.handle({"op": "admit", "hive": 0, "t": 10.0})["ok"]
+        for t in (float("inf"), float("nan")):
+            r = e.handle({"op": "telemetry", "hive": 0, "t": t})
+            assert not r["ok"] and "must be finite" in r["error"]
+        assert e._last_t == 10.0
+        assert e.handle({"op": "telemetry", "hive": 0, "t": 11.0})["ok"]
+
 
 class TestPlacementDecision:
     def test_admitted_hive_runs_in_the_cloud(self):

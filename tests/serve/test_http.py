@@ -100,6 +100,22 @@ class TestLifecycle:
         r = t.send({"op": "admit", "hive": 7, "t": 1.0})
         assert r["ok"] is False and "allocated twice" in r["error"]
 
+    @pytest.mark.parametrize("t", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_time_is_422_and_clock_guard_kept(self, server, t):
+        # Python's json module parses these tokens into float nan / inf.
+        proc, url, _trace, _obs = server
+        req = urllib.request.Request(
+            f"{url}/v1/admit", data=f'{{"hive": 1, "t": {t}}}'.encode(), method="POST"
+        )
+        with pytest.raises(urllib.error.HTTPError) as exc:
+            urllib.request.urlopen(req, timeout=10)
+        assert exc.value.code == 422
+        assert "must be finite" in json.loads(exc.value.read())["error"]
+        client = HttpTransport(url)
+        assert client.send({"op": "admit", "hive": 1, "t": 10.0})["ok"] is True
+        r = client.send({"op": "inference", "hive": 1, "t": 5.0})
+        assert r["ok"] is False and "non-monotonic" in r["error"]
+
 
 class TestReplayOverHttp:
     def test_http_replay_matches_in_process_bit_for_bit(self, server):
