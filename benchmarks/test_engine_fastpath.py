@@ -1,8 +1,8 @@
 """Microbenchmark guard for the specialized ``Engine.run`` event loops.
 
-``Engine.run`` hoists the pool / clock-check / backend conditionals out of
-the hot loop and dispatches to one of four specialized loops (heap-plain,
-heap-pooled, heap-checked, wheel).  Each loop is timed here on the same
+``Engine.run`` hoists the pool / clock-check conditionals out of the hot
+loop and dispatches to one of three specialized loops (heap-plain,
+heap-pooled, heap-checked).  Each loop is timed here on the same
 timeout-heavy workload so a regression in any single path shows up in
 pytest-benchmark's comparison tables; every variant must also agree on the
 final clock and event count, which pins the dispatch itself.
@@ -36,7 +36,6 @@ VARIANTS = {
     "heap-plain": {},
     "heap-pooled": {"pool_timeouts": True},
     "heap-checked": {"check_clock": True, "pool_timeouts": True},
-    "wheel": {"queue": "wheel", "pool_timeouts": True},
 }
 
 
@@ -48,7 +47,7 @@ def test_engine_run_loop(benchmark, variant):
 
 
 def test_variants_agree():
-    """All four loops drain the same workload to identical end states."""
+    """All three loops drain the same workload to identical end states."""
     engines = {name: _churn(**kwargs) for name, kwargs in VARIANTS.items()}
     baseline = engines["heap-plain"]
     for name, eng in engines.items():

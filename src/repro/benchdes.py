@@ -1,17 +1,14 @@
 """``bench-desscale``: DES fleet-scaling benchmark (per-client vs cohort).
 
-Times the event-driven fleet simulator at increasing fleet sizes on three
-paths — the per-client replay (one generator per client), the exact
+Times the event-driven fleet simulator at increasing fleet sizes on two
+paths — the per-client replay (one generator per client) and the exact
 cohort-aggregated fast path (one process per distinct deterministic
-context), and the SoA array kernel (:mod:`repro.core.dessim_array`, whole
-wake-cohorts per NumPy step) — and writes a machine-readable report to
-``BENCH_desscale.json``.
+context) — and writes a machine-readable report to ``BENCH_desscale.json``.
 
 The committed ``BENCH_desscale.json`` at the repository root is the
-acceptance artifact for the fast paths: it must show the cohort run of a
+acceptance artifact for the fast path: it must show the cohort run of a
 10 000-client edge+cloud fleet over 5 cycles at least 10× faster than the
-per-client run, the array kernel at least 20× faster than per-client at
-100 000 clients, and ``edge_energy_rel_diff == 0.0`` (bit-identity) on
+per-client run, and ``edge_energy_rel_diff == 0.0`` (bit-identity) on
 every row.  ``docs/PERFORMANCE.md`` explains how to read the fields.
 
 Usage::
@@ -30,11 +27,10 @@ import time
 from typing import List, Optional
 
 from repro.core.dessim import run_des_fleet
-from repro.core.dessim_array import run_des_fleet_array
 from repro.core.routines import EDGE_CLOUD_SVM
 from repro.core.simulate import simulate_fleet
 
-#: Fleet sizes above this are timed on the cohort/array paths only: the
+#: Fleet sizes above this are timed on the cohort path only: the
 #: per-client path is O(clients) generators and would dominate the
 #: benchmark's runtime without adding information (its per-client cost is
 #: ~flat).  Capped rows carry ``"per_client_s": null, "capped": true`` so
@@ -63,11 +59,6 @@ def bench_size(n_clients: int, n_cycles: int, repeats: int) -> dict:
     row["n_client_cohorts"] = len(cohort_res.client_accounts)
     row["n_server_cohorts"] = len(cohort_res.server_accounts)
 
-    array_res = run_des_fleet_array(n_clients, scenario, n_cycles=n_cycles)
-    row["per_client_array_s"] = _best_of(
-        lambda: run_des_fleet_array(n_clients, scenario, n_cycles=n_cycles), repeats
-    )
-
     if n_clients <= PER_CLIENT_CAP:
         per_res = run_des_fleet(n_clients, scenario, n_cycles=n_cycles, cohort=False)
         row["per_client_s"] = _best_of(
@@ -76,13 +67,11 @@ def bench_size(n_clients: int, n_cycles: int, repeats: int) -> dict:
         )
         row["capped"] = False
         row["speedup"] = row["per_client_s"] / row["cohort_s"]
-        row["array_speedup"] = row["per_client_s"] / row["per_client_array_s"]
         per_edge = per_res.edge_energy_j
     else:
         row["per_client_s"] = None
         row["capped"] = True
         row["speedup"] = None
-        row["array_speedup"] = None
         # Above the cap the per-client reference is reconstructed from the
         # cohort run: summing the expanded per-member view accumulates in
         # client-id order, exactly like the per-client result's
@@ -91,7 +80,6 @@ def bench_size(n_clients: int, n_cycles: int, repeats: int) -> dict:
 
     denom = per_edge or 1.0
     row["edge_energy_rel_diff"] = abs(per_edge - cohort_res.edge_energy_j) / denom
-    row["array_edge_rel_diff"] = abs(array_res.edge_energy_j - per_edge) / denom
 
     analytic = simulate_fleet(n_clients, scenario)
     row["edge_energy_j_cohort"] = cohort_res.edge_energy_j
@@ -125,11 +113,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         row = bench_size(n, args.cycles, args.repeats)
         results.append(row)
         speed = f"{row['speedup']:.1f}x" if row["speedup"] is not None else "n/a"
-        aspeed = f"{row['array_speedup']:.1f}x" if row["array_speedup"] is not None else "n/a"
         per = f"{row['per_client_s']:.3f}s" if row["per_client_s"] is not None else "capped"
         print(
             f"n={n:>8}: per-client {per:>9}  cohort {row['cohort_s']:.4f}s ({speed:>7})  "
-            f"array {row['per_client_array_s']:.4f}s ({aspeed:>7})  "
             f"cohorts {row['n_client_cohorts']}+{row['n_server_cohorts']}"
         )
     report = {

@@ -8,7 +8,7 @@ insertion order)``.
 
 Fast path (million-client fleets)
 ---------------------------------
-Four mechanisms keep the per-event constant factor down without changing
+Three mechanisms keep the per-event constant factor down without changing
 any observable semantics:
 
 * **Batched run loop** — :meth:`Engine.run` pops and fires events in one
@@ -18,11 +18,6 @@ any observable semantics:
   branches are hoisted out of the event loop by selecting one of three
   loop variants up front, so the common configuration pays zero dead
   conditionals per event (guarded by ``benchmarks/test_engine_fastpath``).
-* **Calendar-queue backend** — ``Engine(queue="wheel")`` swaps the binary
-  heap for the :class:`repro.des.wheel.CalendarQueue`, an O(1)-amortized
-  bucketed event list.  Pop order is the identical ``(time, priority,
-  seq)`` total order, so traces hash equal between backends; the heap
-  stays the default (lowest constant for small queues).
 * **Lazy cancellation** — :meth:`Event.cancel` marks a scheduled event
   dead; the run loop discards it on pop.  This replaces O(n) removal from
   the heap (or from long callback lists) for abandoned timeouts.
@@ -218,7 +213,6 @@ class Engine:
     __slots__ = (
         "_now",
         "_queue",
-        "_wheel",
         "_counter",
         "_active",
         "_pool",
@@ -234,19 +228,9 @@ class Engine:
         pool_timeouts: bool = False,
         pool_cap: int = 4096,
         check_clock: bool = False,
-        queue: str = "heap",
     ) -> None:
         self._now = float(start_time)
-        if queue == "heap":
-            self._wheel = False
-            self._queue: list = []
-        elif queue == "wheel":
-            from repro.des.wheel import CalendarQueue
-
-            self._wheel = True
-            self._queue = CalendarQueue(start_time=self._now)
-        else:
-            raise ValueError(f"unknown queue backend {queue!r} (heap|wheel)")
+        self._queue: list = []
         # Monotonic insertion counter (tie-break at equal time+priority).  A
         # plain int rather than itertools.count so the full scheduling state
         # is a value: repro.resilience.snapshot serializes and restores it
@@ -265,11 +249,6 @@ class Engine:
     def now(self) -> float:
         """Current simulated time (seconds)."""
         return self._now
-
-    @property
-    def queue_kind(self) -> str:
-        """The event-queue backend: ``"heap"`` or ``"wheel"``."""
-        return "wheel" if self._wheel else "heap"
 
     @property
     def drained(self) -> bool:
@@ -310,10 +289,7 @@ class Engine:
     def _schedule(self, event: Event, delay: float, priority: int = PRIORITY_NORMAL) -> None:
         seq = self._counter
         self._counter = seq + 1
-        if self._wheel:
-            self._queue.push((self._now + delay, priority, seq, event))
-        else:
-            heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
+        heapq.heappush(self._queue, (self._now + delay, priority, seq, event))
         self._active += 1
 
     def peek(self) -> float:
@@ -322,8 +298,6 @@ class Engine:
         May name a lazily-cancelled event: cancellations are only resolved
         when the entry is popped.
         """
-        if self._wheel:
-            return self._queue.min_time()
         return self._queue[0][0] if self._queue else float("inf")
 
     def pending_entries(self) -> tuple:
@@ -331,28 +305,18 @@ class Engine:
 
         Each entry is ``(time, priority, seq, event)`` in the internal heap
         order (a valid binary heap, *not* fire order); lazily-cancelled
-        events are still present.  For the wheel backend the entries come
-        fully sorted ascending — which is also a valid binary heap.  This
-        is the read side of the checkpoint/restore protocol in
-        :mod:`repro.resilience.snapshot` — restoring the tuple list
-        verbatim reproduces pop order exactly.
+        events are still present.  This is the read side of the
+        checkpoint/restore protocol in :mod:`repro.resilience.snapshot` —
+        restoring the tuple list verbatim reproduces pop order exactly.
         """
-        if self._wheel:
-            return self._queue.sorted_entries()
         return tuple(self._queue)
-
-    def _pop_entry(self):
-        """Pop the minimum entry from whichever backend is active."""
-        if self._wheel:
-            return self._queue.pop()
-        return heapq.heappop(self._queue)
 
     def step(self) -> None:
         """Fire the single next (non-cancelled) event."""
         while True:
             if not self._queue:
                 raise SimulationError("step() on an empty event queue")
-            time, _prio, _seq, event = self._pop_entry()
+            time, _prio, _seq, event = heapq.heappop(self._queue)
             self._active -= 1
             self.events_fired += 1
             if event._cancelled:
@@ -382,9 +346,7 @@ class Engine:
         if until is not None and until < self._now:
             raise SimulationError(f"until={until} is in the past (now={self._now})")
         bound = float("inf") if until is None else until
-        if self._wheel:
-            self._run_wheel(bound)
-        elif self._check_clock:
+        if self._check_clock:
             self._run_heap_checked(bound)
         elif self._pool_timeouts:
             self._run_heap_pooled(bound)
@@ -455,50 +417,6 @@ class Engine:
                 time, _prio, _seq, event = pop(queue)
                 fired += 1
                 if time < self._now:
-                    raise SimulationError(
-                        f"event queue corrupted: time moved backwards ({time} < {self._now})"
-                    )
-                if event._cancelled:
-                    if pool is not None and type(event) is Timeout and len(pool) < pool_cap:
-                        pool.append(event)
-                    continue
-                self._now = time
-                event._fire()
-                if (
-                    pool is not None
-                    and type(event) is Timeout
-                    and not event.callbacks
-                    and len(pool) < pool_cap
-                ):
-                    pool.append(event)
-        finally:
-            self._active -= fired
-            self.events_fired += fired
-
-    def _run_wheel(self, bound: float) -> None:
-        """Calendar-queue backend.
-
-        The wheel cannot peek cheaply, so the loop pops first and pushes
-        an over-the-bound entry straight back — the entry keeps its
-        original ``seq``, so its eventual pop position is unchanged.
-        """
-        queue = self._queue
-        pop = queue.pop
-        push = queue.push
-        pool = self._pool if self._pool_timeouts else None
-        pool_cap = self._pool_cap
-        check_clock = self._check_clock
-        fired = 0
-        try:
-            while queue._size:
-                entry = pop()
-                time = entry[0]
-                if time > bound:
-                    push(entry)
-                    break
-                event = entry[3]
-                fired += 1
-                if check_clock and time < self._now:
                     raise SimulationError(
                         f"event queue corrupted: time moved backwards ({time} < {self._now})"
                     )

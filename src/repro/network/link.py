@@ -64,15 +64,14 @@ class LinkModel:
         draw = rng.lognormal(mean=np.log(self.nominal_bps), sigma=self._sigma, size=size)
         return float(draw) if size is None else draw
 
-    def transfer(self, payload_bytes: int, rng: SeedLike = None, seed: SeedLike = None) -> LinkSample:
+    def transfer(self, payload_bytes: int, rng: SeedLike = None) -> LinkSample:
         """Realize one transfer of ``payload_bytes``.
 
         ``rng`` accepts anything :func:`repro.util.rng.make_rng` does — pass
-        a live Generator to draw from an ongoing stream.  ``seed`` is a
-        deprecated alias (see :func:`resolve_rng`).
+        a live Generator to draw from an ongoing stream.
         """
         _check_payload(payload_bytes)
-        generator = resolve_rng(rng, seed)
+        generator = resolve_rng(rng)
         bps = self.sample_throughput(generator)
         duration = self.handshake_s + (payload_bytes * 8.0) / bps
         return LinkSample(throughput_bps=bps, duration_s=duration)

@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
 
-from repro.faults.spec import FaultWindow
 from repro.util.validation import check_non_negative, check_positive
+
+if TYPE_CHECKING:  # pragma: no cover - typing only; repro.faults imports this module
+    from repro.faults.spec import FaultWindow
 
 #: Window kind for compiled outage intervals (client-targeted, like the
 #: blackout/degradation kinds in :mod:`repro.faults.spec`).
@@ -235,6 +237,8 @@ class OutagePattern:
         if self.never_fires:
             check_positive(horizon_s, "horizon_s")
             return ()
+        from repro.faults.spec import FaultWindow  # local: repro.faults imports this module
+
         return tuple(
             FaultWindow(start=t0, end=t1, kind=LINK_OUTAGE, target=target)
             for state, t0, t1 in self.compile_segments(horizon_s, rng)

@@ -35,6 +35,10 @@ API_PREFIX = "/v1/"
 #: Accept-backlog drain budget on graceful shutdown (seconds).
 DRAIN_BUDGET_S = 2.0
 
+#: Largest request body accepted (bytes).  A real request is well under
+#: 1 KiB; anything bigger is answered 413 without being read.
+MAX_BODY_BYTES = 64 * 1024
+
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
@@ -58,6 +62,10 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(body)
 
+    def _refuse_body(self, status: int, op: str, error: str) -> None:
+        self._reply(status, {"ok": False, "op": op, "error": error},
+                    headers={"Connection": "close"})
+
     def _route(self) -> Optional[str]:
         if not self.path.startswith(API_PREFIX):
             return None
@@ -75,8 +83,19 @@ class _Handler(BaseHTTPRequestHandler):
         if op is None:
             self._reply(404, {"ok": False, "error": f"no such endpoint: {self.path}"})
             return
+        # Checked before reading: a negative length would make read() wait for
+        # EOF and wedge the single serving thread.  A refused body is left
+        # unread, so the reply closes the connection (``Connection: close``
+        # also tells BaseHTTPRequestHandler not to parse it as a request).
+        raw_length = self.headers.get("Content-Length", "0").strip()
+        if not (raw_length.isascii() and raw_length.isdigit()):
+            self._refuse_body(400, op, f"bad Content-Length: {raw_length!r}")
+            return
+        length = int(raw_length)
+        if length > MAX_BODY_BYTES:
+            self._refuse_body(413, op, f"request body exceeds {MAX_BODY_BYTES} bytes")
+            return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
             request = json.loads(self.rfile.read(length) or b"{}")
             if not isinstance(request, dict):
                 raise ValueError("request body must be a JSON object")
@@ -155,4 +174,4 @@ def serve_until_signal(server: HTTPServer) -> int:
     return got["signum"]
 
 
-__all__ = ["API_PREFIX", "DRAIN_BUDGET_S", "make_server", "serve_until_signal", "drain_pending"]
+__all__ = ["API_PREFIX", "DRAIN_BUDGET_S", "MAX_BODY_BYTES", "make_server", "serve_until_signal", "drain_pending"]

@@ -16,7 +16,7 @@ is shared by three consumers so they can never drift apart:
 The fingerprint *refuses* to be taken unless the steady-state live
 allocation is bit-identical to the batch ``Allocator.allocate`` fold over
 the same client set — the acceptance criterion of the serving PR — the
-same refuse-then-pin pattern as the ``des-array``/``faulty-array`` cases.
+same refuse-then-pin pattern as the ``faulty-array`` case.
 """
 
 from __future__ import annotations

@@ -10,7 +10,6 @@ when comparing loss-model runs side by side).
 from __future__ import annotations
 
 import hashlib
-import warnings
 from typing import Sequence, Union
 
 import numpy as np
@@ -41,23 +40,12 @@ def make_rng(seed: SeedLike = None) -> np.random.Generator:
     return np.random.default_rng(int(seed))
 
 
-def resolve_rng(rng: SeedLike = None, seed: SeedLike = None) -> np.random.Generator:
-    """Normalise the ``rng``/legacy-``seed`` pair into one Generator.
+def resolve_rng(rng: SeedLike = None) -> np.random.Generator:
+    """Normalise an ``rng=`` argument into one Generator (see :func:`make_rng`).
 
-    ``seed`` is a deprecated alias kept so older call sites keep working;
-    passing it emits a :class:`DeprecationWarning`.  Passing both is an
-    error.  Long simulations should thread a single ``rng`` through every
-    transfer instead of re-creating a generator per call.
+    Long simulations should thread a single ``rng`` through every transfer
+    instead of re-creating a generator per call.
     """
-    if seed is not None:
-        if rng is not None:
-            raise TypeError("pass either rng or seed, not both")
-        warnings.warn(
-            "the 'seed' parameter is deprecated; pass 'rng' instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return make_rng(seed)
     return make_rng(rng)
 
 

@@ -239,36 +239,6 @@ def _case_faulty_analytic() -> Dict[str, Any]:
     return fp
 
 
-def _case_des_array() -> Dict[str, Any]:
-    """The SoA per-client kernel and the calendar-queue engine must both be
-    bit-identical to the heap-engine scalar DES before anything is pinned."""
-    from repro.core.dessim import run_des_fleet
-    from repro.core.dessim_array import run_des_fleet_array
-    from repro.core.routines import EDGE_CLOUD_SVM
-
-    scalar = run_des_fleet(37, EDGE_CLOUD_SVM, n_cycles=2, validate=True)
-    wheel = run_des_fleet(
-        37, EDGE_CLOUD_SVM, n_cycles=2, validate=True, engine_queue="wheel"
-    )
-    array = run_des_fleet_array(37, EDGE_CLOUD_SVM, n_cycles=2, validate=True)
-    for other, name in ((wheel, "wheel"), (array, "array")):
-        if (
-            other.edge_energy_j != scalar.edge_energy_j
-            or other.server_energy_j != scalar.server_energy_j
-        ):
-            raise RuntimeError(f"{name} DES kernel energies diverged from heap scalar")
-        for a, b in zip(scalar.client_accounts, other.client_accounts):
-            if a._totals != b._totals or a._durations != b._durations:
-                raise RuntimeError(f"{name} DES kernel client ledgers diverged")
-        for a, b in zip(scalar.server_accounts, other.server_accounts):
-            if a._totals != b._totals:
-                raise RuntimeError(f"{name} DES kernel server ledgers diverged")
-    fp = _des_common(array)
-    fp["client0"] = account_fingerprint(array.client_accounts[0])
-    fp["server0"] = account_fingerprint(array.server_accounts[0])
-    return fp
-
-
 def _case_faulty_array() -> Dict[str, Any]:
     """The closed-form faulty kernel must match the scalar reference exactly
     (ledgers, monitor report and buffer ledger) before its pin is taken."""
@@ -409,10 +379,6 @@ def _build_cases() -> Dict[str, Tuple[Callable[[], Dict[str, Any]], str]]:
             "Cohort-aggregated faulty DES (statically-quiet collapse)",
         ),
         "faulty-analytic": (_case_faulty_analytic, "Cycle-level faulty fleet arrays"),
-        "des-array": (
-            _case_des_array,
-            "SoA per-client DES kernel + wheel engine (bit-identical to heap scalar)",
-        ),
         "faulty-array": (
             _case_faulty_array,
             "Closed-form faulty kernel vs scalar reference (bit-identical)",

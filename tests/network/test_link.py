@@ -80,26 +80,6 @@ class TestResolveRng:
         b = resolve_rng(rng=7).normal()
         assert a == b
 
-    def test_seed_alias_warns_but_works(self):
-        from repro.network.link import resolve_rng
-
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            gen = resolve_rng(seed=7)
-        assert gen.normal() == resolve_rng(rng=7).normal()
-
-    def test_both_params_rejected(self):
-        from repro.network.link import resolve_rng
-
-        with pytest.raises(TypeError, match="not both"):
-            resolve_rng(rng=1, seed=2)
-
-    def test_transfer_seed_alias_matches_rng(self):
-        link = LinkModel(nominal_bps=10e6, cv=0.25)
-        with_rng = link.transfer(1_000_000, rng=11)
-        with pytest.warns(DeprecationWarning):
-            with_seed = link.transfer(1_000_000, seed=11)
-        assert with_seed.duration_s == with_rng.duration_s
-
     def test_transfer_threads_live_generator(self):
         link = LinkModel(nominal_bps=10e6, cv=0.25)
         gen = np.random.default_rng(0)

@@ -209,6 +209,26 @@ class TestEngineRoundTrip:
         with pytest.raises(SnapshotError, match="expected"):
             check_snapshot({"version": SNAPSHOT_VERSION, "kind": "rng"}, "engine")
 
+    @pytest.mark.parametrize("queue", [None, "heap"])
+    def test_legacy_queue_field_restores(self, queue):
+        # Older snapshots may carry "queue": "heap", or no field at all.
+        engine = Engine()
+        engine.timeout(1.0)
+        snap = snapshot_engine(engine)
+        assert "queue" not in snap
+        if queue is not None:
+            snap["queue"] = queue
+        restored = restore_engine(snap)
+        assert restored.pending_entries()[0][:3] == engine.pending_entries()[0][:3]
+
+    def test_non_heap_queue_refused(self):
+        engine = Engine()
+        engine.timeout(1.0)
+        snap = snapshot_engine(engine)
+        snap["queue"] = "wheel"
+        with pytest.raises(SnapshotError, match="event queue"):
+            restore_engine(snap)
+
 
 # ---------------------------------------------------------------------------
 # registry

@@ -9,8 +9,10 @@ whole module stays in the low seconds.  The full-size run is exercised by
 
 import json
 import signal
+import socket
 import subprocess
 import urllib.error
+import urllib.parse
 import urllib.request
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import pytest
 
 from repro.loadgen.arrivals import LoadSpec
 from repro.loadgen.replay import HttpTransport, replay, replay_in_process
+from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.smoke import _boot_server
 
 SMALL_SPEC = LoadSpec(
@@ -115,6 +118,36 @@ class TestLifecycle:
         assert client.send({"op": "admit", "hive": 1, "t": 10.0})["ok"] is True
         r = client.send({"op": "inference", "hive": 1, "t": 5.0})
         assert r["ok"] is False and "non-monotonic" in r["error"]
+
+
+def raw_post_status(url: str, content_length: str) -> int:
+    """POST with a raw ``Content-Length`` header and no body; return the status.
+
+    The socket timeout turns a server that waits for a body into a failure
+    instead of a hang.
+    """
+    parts = urllib.parse.urlsplit(url)
+    with socket.create_connection((parts.hostname, parts.port), timeout=3.0) as sock:
+        sock.sendall(
+            f"POST /v1/admit HTTP/1.1\r\nHost: {parts.netloc}\r\n"
+            f"Content-Length: {content_length}\r\n\r\n".encode("ascii")
+        )
+        status_line = sock.makefile("rb").readline()
+    return int(status_line.split()[1])
+
+
+class TestRequestBodyGuard:
+    @pytest.mark.parametrize(
+        "content_length, status",
+        [("-1", 400), ("abc", 400), ("1.5", 400), (str(MAX_BODY_BYTES + 1), 413)],
+    )
+    def test_refused_before_read_and_not_counted(self, server, content_length, status):
+        proc, url, _trace, _obs = server
+        assert raw_post_status(url, content_length) == status
+        # The server is still responsive and the refused request never
+        # reached the engine: only the health probe is counted.
+        assert HttpTransport(url).health()["ok"] is True
+        assert json.loads(shutdown(proc))["requests"] == 1
 
 
 class TestReplayOverHttp:
